@@ -22,14 +22,14 @@ from typing import TYPE_CHECKING, Optional
 from repro.obs.export import JsonlSink
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                NullMetricsRegistry, Snapshot)
-from repro.obs.profile import NullProfiler, Profiler
+from repro.obs.profile import Profiler
 from repro.obs.spans import (SPAN_KINDS, NullSpanRecorder, Span,
                              SpanRecorder)
 
 __all__ = [
     "Observability", "MetricsRegistry", "NullMetricsRegistry", "Snapshot",
     "Counter", "Gauge", "Histogram", "SpanRecorder", "NullSpanRecorder",
-    "Span", "SPAN_KINDS", "Profiler", "NullProfiler", "JsonlSink",
+    "Span", "SPAN_KINDS", "Profiler", "JsonlSink",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

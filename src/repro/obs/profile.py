@@ -21,8 +21,6 @@ from typing import Dict, Iterator, List, Tuple
 class Profiler:
     """Named wall-clock accumulators."""
 
-    enabled = True
-
     __slots__ = ("sections",)
 
     def __init__(self) -> None:
@@ -56,6 +54,10 @@ class Profiler:
                    if name.startswith(prefix))
 
     def render(self, top: int = 25) -> str:
+        """The sections, longest first.  ``harness.sim_run`` contains the
+        ``event.*`` rows and ``event.arrival`` the ``handler.*`` rows, so
+        when ``harness.*`` rows exist shares are of their total and ``cum``
+        runs within each name's first dotted part."""
         if not self.sections:
             return "(no profile data)"
         # sort by descending seconds with the name as a tiebreaker, so two
@@ -64,33 +66,25 @@ class Profiler:
             ((name, calls, sec) for name, (calls, sec)
              in self.sections.items()),
             key=lambda r: (-r[2], r[0]))
-        total = sum(r[2] for r in rows)
+        roots = [r for r in rows if r[0].startswith("harness.")]
+        total = sum(r[2] for r in (roots or rows))
         out = [f"{'section':<28} {'calls':>10} {'seconds':>9} "
                f"{'us/call':>9} {'share':>6} {'cum':>6}"]
-        cum = 0.0
+        cum: Dict[str, float] = {}
         for name, calls, sec in rows[:top]:
             per = 1e6 * sec / calls if calls else 0.0
             share = 100.0 * sec / total if total else 0.0
-            cum += share
+            group = name.split(".", 1)[0] if roots else ""
+            cum[group] = cum.get(group, 0.0) + share
             out.append(f"{name:<28} {int(calls):>10,} {sec:>9.3f} "
-                       f"{per:>9.1f} {share:>5.1f}% {cum:>5.1f}%")
+                       f"{per:>9.1f} {share:>5.1f}% {cum[group]:>5.1f}%")
         if len(rows) > top:
-            rest = sum(r[2] for r in rows[top:])
-            rest_share = 100.0 * rest / total if total else 0.0
-            out.append(f"{'... ' + str(len(rows) - top) + ' more':<28} "
-                       f"{'':>10} {rest:>9.3f} {'':>9} {rest_share:>5.1f}%")
+            label = f"{'... ' + str(len(rows) - top) + ' more':<28}"
+            if roots:  # hidden rows nest, so their sum would double-count
+                out.append(label.rstrip())
+            else:
+                rest = sum(r[2] for r in rows[top:])
+                rest_share = 100.0 * rest / total if total else 0.0
+                out.append(f"{label} {'':>10} {rest:>9.3f} {'':>9} "
+                           f"{rest_share:>5.1f}%")
         return "\n".join(out)
-
-
-class NullProfiler(Profiler):
-    """No-op profiler (kept for symmetry; the engine uses ``None``)."""
-
-    enabled = False
-
-    def add(self, name: str, seconds: float,
-            calls: int = 1) -> None:  # pragma: no cover - no-op
-        return
-
-    @contextmanager
-    def section(self, name: str) -> Iterator[None]:
-        yield

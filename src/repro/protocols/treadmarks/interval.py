@@ -1,10 +1,14 @@
 """Interval records and the per-node interval log (TreadMarks bookkeeping)."""
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Tuple
 
-from bisect import insort
+_INDEX = attrgetter("index")
+#: global delivery order of records: Lamport stamp, ties by writer, index
+_ORDER = attrgetter("stamp", "writer", "index")
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,10 +28,9 @@ class IntervalRecord:
 class IntervalLog:
     """All interval records a node knows, indexed by writer.
 
-    Per-writer lists stay sorted by interval index.  Records almost always
-    arrive in index order, so ``add`` appends in O(1); the rare
-    out-of-order record is placed with a bisect insertion instead of
-    re-sorting the whole list.
+    Per-writer lists stay sorted by interval index with no duplicates, so
+    queries bisect to the unseen suffix: their cost follows their output,
+    not the history kept (DESIGN.md §11.7).
     """
 
     def __init__(self, num_procs: int) -> None:
@@ -41,23 +44,25 @@ class IntervalLog:
         if not lst or lst[-1].index < rec.index:
             lst.append(rec)
             return True
-        for existing in reversed(lst):
-            if existing.index == rec.index:
-                return False
-            if existing.index < rec.index:
-                break
-        insort(lst, rec, key=lambda r: r.index)
+        i = bisect_left(lst, rec.index, key=_INDEX)
+        if i < len(lst) and lst[i].index == rec.index:
+            return False
+        lst.insert(i, rec)
         return True
 
+    def since(self, writer: int, index: int) -> List[IntervalRecord]:
+        """``writer``'s records with interval index >= ``index``, in order."""
+        lst = self._by_writer[writer]
+        if not lst or lst[-1].index < index:
+            return []
+        return lst[bisect_left(lst, index, key=_INDEX):]
+
     def newer_than(self, vc: List[int]) -> List[IntervalRecord]:
-        """Records the holder of vector clock ``vc`` has not seen."""
+        """Records the holder of ``vc`` has not seen, in ``_ORDER``."""
         out: List[IntervalRecord] = []
-        for writer, lst in self._by_writer.items():
-            threshold = vc[writer]
-            for rec in lst:
-                if rec.index >= threshold:
-                    out.append(rec)
-        out.sort(key=lambda r: (r.stamp, r.writer, r.index))
+        for writer in self._by_writer:
+            out += self.since(writer, vc[writer])
+        out.sort(key=_ORDER)
         return out
 
     def count(self) -> int:

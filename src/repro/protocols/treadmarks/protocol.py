@@ -1,8 +1,10 @@
 """The TreadMarks (lazy release consistency) protocol engine."""
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -17,6 +19,8 @@ from repro.network.message import Message
 from repro.protocols.base import PageMeta, ProtocolNode, World
 from repro.protocols.treadmarks.interval import IntervalLog, IntervalRecord
 
+_COUNTER = attrgetter("acquire_counter")
+
 
 @dataclass
 class TMPageMeta(PageMeta):
@@ -26,7 +30,9 @@ class TMPageMeta(PageMeta):
     pending: List[Tuple[int, int, int]] = field(default_factory=list)
     #: newest diff stamp applied, per writer (skip re-fetch/re-apply)
     applied: Dict[int, int] = field(default_factory=dict)
-    #: frozen (lazily created) diffs we serve for this page, oldest first
+    #: frozen (lazily created) diffs we serve for this page, oldest first;
+    #: their stamps strictly increase and their arrays are read-only, so
+    #: they are served by bisection and shared with receivers uncopied
     frozen: List[Diff] = field(default_factory=list)
     #: twin has modifications not yet frozen into a diff
     dirty: bool = False
@@ -249,17 +255,23 @@ class TreadMarksNode(ProtocolNode):
         cycles = self.machine.diff_apply_cycles(max(diff.nwords, 1))
         yield Delay(cycles, "data")
         stamps = self._word_stamps(meta)
-        mask = diff.acquire_counter > stamps[diff.offsets]
-        if meta.twin is not None and meta.dirty:
+        twin = meta.twin
+        stamp = diff.acquire_counter
+        offs, values = diff.offsets, diff.values
+        # take/put and count_nonzero cost far less per call than fancy
+        # indexing and mask.all() on the few-word diffs that dominate here
+        mask = stamps.take(offs) < stamp
+        if twin is not None and meta.dirty:
             # never clobber unfrozen local writes: they were never served to
             # anyone, so no remote diff can legitimately supersede them
-            mask &= page[diff.offsets] == meta.twin[diff.offsets]
-        offs = diff.offsets[mask]
+            mask &= page.take(offs) == twin.take(offs)
+        if np.count_nonzero(mask) < len(offs):
+            offs, values = offs[mask], values[mask]
         if len(offs):
-            page[offs] = diff.values[mask]
-            stamps[offs] = diff.acquire_counter
-            if meta.twin is not None:
-                meta.twin[offs] = diff.values[mask]
+            page.put(offs, values)
+            stamps.put(offs, stamp)
+            if twin is not None:
+                twin.put(offs, values)
             self.hw.page_updated(self.page_addr(pn), self.page_words())
         checker = self.world.checker
         if checker.enabled:
@@ -285,12 +297,15 @@ class TreadMarksNode(ProtocolNode):
         # TreadMarks exposes diff creation: nothing is hidden
         self.world.diff_stats.record_create(diff.size_bytes, cycles, 0.0)
         if not diff.empty:
+            # frozen diffs are served uncopied: make a stray write raise
+            diff.offsets.setflags(write=False)
+            diff.values.setflags(write=False)
             meta.frozen.append(diff)
             # stamp our own words: a stale remote diff arriving later must
             # not overwrite what we just froze
             stamps = self._word_stamps(meta)
-            stamps[diff.offsets] = np.maximum(stamps[diff.offsets],
-                                              diff.acquire_counter)
+            stamps.put(diff.offsets, np.maximum(stamps.take(diff.offsets),
+                                                diff.acquire_counter))
         # the twin is discarded and the page write-protected; the next local
         # write re-twins (standard TreadMarks behaviour after a diff)
         meta.twin = None
@@ -304,7 +319,8 @@ class TreadMarksNode(ProtocolNode):
         floor = msg.payload["floor"]
         meta: TMPageMeta = self.page(pn)
         yield from self._freeze_page_diff(pn, "ipc")
-        diffs = [d.copy() for d in meta.frozen if d.acquire_counter > floor]
+        frozen = meta.frozen
+        diffs = frozen[bisect_right(frozen, floor, key=_COUNTER):]
         nbytes = sum(d.size_bytes + 8 for d in diffs) or 4
         yield Delay(self.machine.list_cycles(max(len(diffs), 1)), "ipc")
         yield Send(msg.payload["requester"],
@@ -429,7 +445,7 @@ class TreadMarksNode(ProtocolNode):
                 meta = self.page(pn)
                 if meta.dirty:
                     yield from self._freeze_page_diff(pn, category)
-                piggyback.extend(d.copy() for d in meta.frozen)
+                piggyback.extend(meta.frozen)
             nbytes += sum(d.size_bytes + 8 for d in piggyback)
         yield Send(requester, Message("tmk.lock_grant", {
             "lock": lock_id,
@@ -543,10 +559,8 @@ class TreadMarksNode(ProtocolNode):
         mgr = self.sync.barrier_manager(barrier_id)
         # ship the manager our own intervals closed since the last barrier
         # (every record reaches the manager through its writer)
-        own = [] if self.node_id == mgr else [
-            r for r in self.log.newer_than(self._mgr_seen_vc)
-            if r.writer == self.node_id
-        ]
+        me = self.node_id
+        own = [] if me == mgr else self.log.since(me, self._mgr_seen_vc[me])
         self._mgr_seen_vc = list(self.vc)
         payload = {"node": self.node_id, "vc": list(self.vc),
                    "records": own}

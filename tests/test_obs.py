@@ -561,6 +561,19 @@ class TestProfilerReport:
         out = capsys.readouterr().out
         assert "more" in out and "share" in out
 
+    def test_nested_shares_are_of_the_harness_total(self):
+        r = run_app(make_app("is", "test"), "tmk", SimConfig(profile=True))
+        lines = r.extra["profiler"].render(top=1000).splitlines()[1:]
+        shares = {ln.split()[0]: float(ln.split()[-2].rstrip("%"))
+                  for ln in lines}
+        assert {"harness.sim_run", "event.arrival"} <= set(shares)
+        assert any(name.startswith("handler.") for name in shares)
+        harness = sum(v for k, v in shares.items()
+                      if k.startswith("harness."))
+        # three harness rows, each rounded to 0.1% when rendered
+        assert abs(harness - 100.0) <= 0.15
+        assert max(shares.values()) <= 100.0
+
     def test_host_metadata_attached_to_profile(self):
         r = run_app(make_app("is", "test"), "aec", SimConfig(profile=True))
         host = r.profile["@host"]

@@ -1,6 +1,13 @@
 """Unit tests for TreadMarks bookkeeping: intervals, logs, vector clocks."""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps.registry import make_app
+from repro.config import SimConfig
+from repro.harness.runner import run_app
 from repro.protocols.treadmarks.interval import IntervalLog, IntervalRecord
+from repro.protocols.treadmarks.protocol import TreadMarksNode
 
 
 class TestIntervalRecord:
@@ -48,3 +55,93 @@ class TestIntervalLog:
 
     def test_empty_log(self):
         assert IntervalLog(2).newer_than([0, 0]) == []
+
+
+P = 3
+
+#: (writer, index) pairs, drawn with duplicates, gaps and in any order
+_records = st.lists(st.tuples(st.integers(0, P - 1), st.integers(0, 12)),
+                    max_size=40)
+
+
+class TestIntervalLogProperties:
+    """``since``/``newer_than`` against a brute-force filter-and-sort."""
+
+    @staticmethod
+    def _fill(pairs):
+        log, known = IntervalLog(P), {}
+        for writer, index in pairs:
+            # a stamp that is unique per record and not monotone in index
+            rec = IntervalRecord(writer, index, (index * 7 + writer * 5) % 11,
+                                 (index,))
+            assert log.add(rec) == ((writer, index) not in known)
+            known.setdefault((writer, index), rec)
+        return log, list(known.values())
+
+    @given(_records, st.lists(st.integers(0, 14), min_size=P, max_size=P))
+    @settings(max_examples=200)
+    def test_newer_than_matches_brute_force(self, pairs, vc):
+        log, known = self._fill(pairs)
+        want = sorted((r for r in known if r.index >= vc[r.writer]),
+                      key=lambda r: (r.stamp, r.writer, r.index))
+        assert log.newer_than(vc) == want
+        assert log.count() == len(known)
+
+    @given(_records, st.integers(0, P - 1), st.integers(0, 14))
+    @settings(max_examples=200)
+    def test_since_matches_brute_force(self, pairs, writer, index):
+        log, known = self._fill(pairs)
+        want = sorted((r for r in known
+                       if r.writer == writer and r.index >= index),
+                      key=lambda r: r.index)
+        assert log.since(writer, index) == want
+
+
+@pytest.fixture
+def tmk_nodes(monkeypatch):
+    """Every TreadMarks node built by the runs inside the test."""
+    nodes = []
+    init = TreadMarksNode.__init__
+
+    def recording_init(self, world, node_id):
+        init(self, world, node_id)
+        nodes.append(self)
+
+    monkeypatch.setattr(TreadMarksNode, "__init__", recording_init)
+    return nodes
+
+
+@pytest.mark.parametrize("protocol", ["tmk", "tmk-lh"])
+@pytest.mark.parametrize("app", ["water-ns", "raytrace"])
+class TestFrozenDiffInvariants:
+    def test_frozen_stamps_strictly_increase(self, tmk_nodes, app, protocol):
+        run_app(make_app(app, "test"), protocol, SimConfig())
+        frozen = [meta.frozen for node in tmk_nodes
+                  for meta in node.pages.values()]
+        assert sum(len(f) > 1 for f in frozen) > 0
+        for diffs in frozen:
+            stamps = [d.acquire_counter for d in diffs]
+            assert all(a < b for a, b in zip(stamps, stamps[1:])), stamps
+
+    def test_served_diffs_are_read_only(self, tmk_nodes, monkeypatch, app,
+                                        protocol):
+        received = []
+        apply = TreadMarksNode._apply_diff_stamped
+
+        def recording_apply(self, pn, diff):
+            received.append(diff)
+            return apply(self, pn, diff)
+
+        monkeypatch.setattr(TreadMarksNode, "_apply_diff_stamped",
+                            recording_apply)
+        run_app(make_app(app, "test"), protocol, SimConfig())
+        assert received
+        for diff in received:
+            with pytest.raises(ValueError):
+                diff.offsets[0] = 0
+            with pytest.raises(ValueError):
+                diff.values[0] = 0.0
+        # served uncopied: each applied diff is one its writer still holds
+        held = {id(d) for node in tmk_nodes
+                for meta in node.pages.values() for d in meta.frozen}
+        assert all(id(d) in held for d in received)

@@ -211,12 +211,6 @@ class SimConfig:
     track_lap_stats: bool = True
     #: collect per-category execution-time breakdown
     track_breakdown: bool = True
-    #: record protocol-level events (lock transfers, faults, diffs) into a
-    #: queryable Trace — off by default (costs memory and time)
-    trace: bool = False
-    #: cap on retained trace events (ring buffer keeps the most recent N;
-    #: None = unbounded)
-    trace_capacity: int = 2_000_000
     #: collect labeled metrics (LAP telemetry, faults, episode stats) into
     #: an ``obs.MetricsRegistry`` — off by default
     obs_metrics: bool = False
@@ -308,7 +302,12 @@ def config_from_dict(doc: Dict[str, Any]) -> SimConfig:
     files store that form): nested machine parameters, fault plans and
     workload specs are reconstructed into their dataclasses, so
     ``config_digest(config_from_dict(d)) == config_digest(original)``.
+    Raises ``ValueError`` naming any key that is not a ``SimConfig``
+    field (e.g. a knob removed since the file was written).
     """
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(SimConfig)})
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     doc = dict(doc)
     machine = doc.pop("machine", None)
     faults = doc.pop("faults", None)

@@ -289,13 +289,14 @@ def _cmd_trace(args) -> int:
 
     try:
         app = TraceApp(args.trace)
+        # replay under the recorded config, but never re-record over the
+        # input file
+        config = config_from_dict(app.header["config"]).replace(
+            record_trace="")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     protocol = args.protocol or app.recorded_protocol
-    # replay under the recorded config, but never re-record over the
-    # input file
-    config = config_from_dict(app.header["config"]).replace(record_trace="")
     result = run_app(app, protocol, config=config)
     print(result.summary())
     if not args.verify:
@@ -488,27 +489,24 @@ def _cmd_metrics(args) -> int:
 def _cmd_analyze(args) -> int:
     from repro.tools import (lock_report, message_matrix, render_matrix,
                              render_timeline)
-    config = SimConfig(update_set_size=args.update_set_size, seed=args.seed,
-                       trace=True)
+    config = _make_config(args, obs_spans=True,
+                          obs_spans_jsonl=args.trace_out or "")
     result = run_app(make_app(args.app, args.scale), args.protocol,
                      config=config)
-    trace = result.extra["trace"]
+    spans = result.extra["spans"]
     print(result.summary())
     print()
-    print(trace.summary())
+    print(spans.summary())
     print()
-    print(lock_report(trace))
+    print(lock_report(spans))
     print()
-    print(render_timeline(trace,
-                          kinds=["fault.read", "fault.write", "diff.create",
-                                 "lock.grant"]))
+    print(render_timeline(spans, kinds=["page.fetch", "diff.create",
+                                        "diff.apply", "lock.hold"]))
     print()
     print(render_matrix(message_matrix(result)))
     if args.trace_out:
-        with open(args.trace_out, "w") as fh:
-            fh.write(trace.to_jsonl())
-        print(f"\ntrace written to {args.trace_out} "
-              f"({len(trace)} events)")
+        print(f"\nspans written to {args.trace_out} "
+              f"({spans.completed} spans, JSON lines)")
     return 0
 
 
@@ -1015,7 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
     met.set_defaults(fn=_cmd_metrics)
 
     ana = sub.add_parser("analyze",
-                         help="run with tracing and print lock/traffic "
+                         help="run with spans on and print lock/traffic "
                               "reports")
     ana.add_argument("--app", choices=APP_NAMES, required=True)
     ana.add_argument("--protocol", choices=sorted(PROTOCOLS), default="aec")
@@ -1023,7 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--update-set-size", type=int, default=2)
     ana.add_argument("--seed", type=int, default=42)
     ana.add_argument("--trace-out", metavar="FILE",
-                     help="also dump the event trace as JSON lines")
+                     help="also stream every span to FILE as JSON lines")
     ana.set_defaults(fn=_cmd_analyze)
 
     exp = sub.add_parser("experiment", help="reproduce a table or figure")

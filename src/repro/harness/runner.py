@@ -168,7 +168,6 @@ def run_app(app: Application, protocol: str = "aec",
             "app_params": app.describe(),
             "pair_messages": world.sim.network.pair_messages.copy(),
             "pair_bytes": world.sim.network.pair_bytes.copy(),
-            "trace": world.trace,
             "spans": world.obs.spans if world.obs.spans.enabled else None,
             "profiler": profiler,
         },

@@ -6,11 +6,14 @@ creation/application, a remote page fetch, or a LAP push→acquire window.
 Spans nest naturally on a track (a diff creation inside a lock hold), which
 Perfetto / chrome://tracing render as stacked slices.
 
+Spans are the simulator's one protocol event stream: the Perfetto export,
+``bench attr`` and the analysis tools in :mod:`repro.tools` all read them.
+
 The recorder keeps *finished* spans in a ring buffer (most recent N — long
-runs never exhaust memory and never silently bias toward startup, unlike
-the old ``Trace.capacity`` behaviour) and can additionally stream every
-finished span to a sink (see :class:`repro.obs.export.JsonlSink`) so a
-full ``bench``-scale trace costs O(1) memory.
+runs never exhaust memory and never silently bias toward startup) and can
+additionally stream every finished span to a sink (see
+:class:`repro.obs.export.JsonlSink`) so a full ``bench``-scale trace costs
+O(1) memory.
 
 Open spans at run end are closed by :meth:`SpanRecorder.finish` with an
 explicit ``truncated`` marker — a deadlocked barrier or an abandoned lock

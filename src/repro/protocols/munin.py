@@ -72,6 +72,7 @@ class MuninNode(ProtocolNode):
         self._bar_fut: Optional[Future] = None
         self._bar_count = 0
         self._grant_futs: Dict[int, Future] = {}
+        self._hold_spans: Dict[int, int] = {}
         self._replies: Dict[Tuple[int, int], Future] = {}
         self._req_seq = 0
         self._handlers = {
@@ -337,13 +338,16 @@ class MuninNode(ProtocolNode):
         mgr = self.sync.lock_manager(lock_id)
         fut = self.new_future(f"mgrant{lock_id}")
         self._grant_futs[lock_id] = fut
+        wait_span = self.span_begin("lock.wait", f"lock{lock_id}.wait",
+                                    lock=lock_id)
         yield Send(mgr, Message("mun.lock_req",
                                 {"lock": lock_id,
                                  "requester": self.node_id}, 4), "synch")
         grant = yield Wait(fut, "synch")
         self._grant_futs.pop(lock_id, None)
-        self.world.trace.record(self.now(), self.node_id, "lock.grant",
-                                lock=lock_id)
+        self.span_end(wait_span, lock=lock_id)
+        self._hold_spans[lock_id] = self.span_begin(
+            "lock.hold", f"lock{lock_id}.hold", lock=lock_id)
         self._update_sets[lock_id] = grant["update_set"]
         self.lock_stack.append(lock_id)
         self.locks_held.add(lock_id)
@@ -351,6 +355,7 @@ class MuninNode(ProtocolNode):
     def release(self, lock_id: int) -> Generator:
         if not self.lock_stack or self.lock_stack[-1] != lock_id:
             raise RuntimeError(f"munin: bad release of {lock_id}")
+        self.span_end(self._hold_spans.pop(lock_id, 0))
         # eager update propagation *before* the lock can move (Munin's
         # delayed update queue flushes at release)
         yield from self._flush_updates(

@@ -359,8 +359,6 @@ class TreadMarksNode(ProtocolNode):
         self._grant_futs[lock_id] = fut
         wait_span = self.span_begin("lock.wait", f"lock{lock_id}.wait",
                                     lock=lock_id)
-        self.world.trace.record(self.now(), self.node_id, "lock.request",
-                                lock=lock_id)
         yield Send(mgr, Message("tmk.lock_req",
                                 {"lock": lock_id, "requester": self.node_id,
                                  "vc": list(self.vc)}, 4 + 4 * len(self.vc)),
@@ -402,8 +400,6 @@ class TreadMarksNode(ProtocolNode):
         self.span_end(wait_span, lock=lock_id)
         self._hold_spans[lock_id] = self.span_begin(
             "lock.hold", f"lock{lock_id}.hold", lock=lock_id)
-        self.world.trace.record(self.now(), self.node_id, "lock.grant",
-                                lock=lock_id)
         self.tm_holding.add(lock_id)
         self.tm_owned.add(lock_id)
         self.locks_held.add(lock_id)
@@ -411,8 +407,6 @@ class TreadMarksNode(ProtocolNode):
     def release(self, lock_id: int) -> Generator:
         if lock_id not in self.tm_holding:
             raise RuntimeError(f"node {self.node_id}: release of unheld lock")
-        self.world.trace.record(self.now(), self.node_id, "lock.release",
-                                lock=lock_id)
         self.span_end(self._hold_spans.pop(lock_id, 0))
         self.tm_holding.discard(lock_id)
         self.locks_held.discard(lock_id)

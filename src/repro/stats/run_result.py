@@ -52,10 +52,10 @@ class RunResult:
     clock_hz: float = 100e6
     extra: Dict[str, Any] = field(default_factory=dict)
 
-    #: ``extra`` keys holding live in-process objects (event rings, span
-    #: buffers, the profiler).  They are dropped when a result is serialized
-    #: for the disk cache or shipped across a process boundary.
-    LIVE_EXTRA_KEYS = ("trace", "spans", "profiler")
+    #: ``extra`` keys holding live in-process objects (span buffers, the
+    #: profiler).  They are dropped when a result is serialized for the
+    #: disk cache or shipped across a process boundary.
+    LIVE_EXTRA_KEYS = ("spans", "profiler")
 
     def sanitized(self) -> "RunResult":
         """A copy safe to pickle for the cache and cross-process transport.

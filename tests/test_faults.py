@@ -430,3 +430,47 @@ class TestSweepDeterminism:
                           faults=get_plan("dup-heavy")).key
         k4 = sw.make_spec("is", "test", "aec").key
         assert len({k1, k2, k3, k4}) == 4
+
+
+# ------------------------------------------------------- repro faults CLI
+
+class TestFaultsCLI:
+    def _main(self, argv):
+        from repro.harness.cli import main
+        return main(["faults", *argv])
+
+    def test_list_prints_every_builtin_plan(self, capsys):
+        assert self._main(["list"]) == 0
+        out = capsys.readouterr().out
+        names = [line.split()[0] for line in out.splitlines()
+                 if line and not line.startswith("use ")]
+        assert names == sorted(BUILTIN_PLANS)
+
+    def test_explain_prints_the_plan(self, capsys):
+        assert self._main(["explain", "lossy-1pct"]) == 0
+        assert (capsys.readouterr().out.rstrip()
+                == get_plan("lossy-1pct").describe())
+
+    def test_run_lossy_with_checker(self, capsys):
+        assert self._main(["run", "lossy-1pct", "--app", "is",
+                           "--check-consistency"]) == 0
+        out = capsys.readouterr().out
+        assert "  faults[lossy-1pct@1]: " in out
+        assert "recovery[" not in out
+
+    def test_run_crash_restart_prints_recovery(self, capsys):
+        assert self._main(["run", "crash-restart", "--app", "is"]) == 0
+        out = capsys.readouterr().out
+        assert "  faults[crash-restart@1]: " in out
+        assert "  recovery[crash-restart@1]: " in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["explain"], "needs a PLAN argument"),
+        (["run", "--app", "is"], "needs a PLAN argument"),
+        (["explain", "no-such-plan"], "no-such-plan"),
+        (["run", "lossy-1pct"], "needs --app"),
+    ])
+    def test_usage_errors_exit_2(self, capsys, argv, message):
+        assert self._main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err

@@ -169,6 +169,12 @@ class TestCacheIdentity:
         assert doc["workload"]["seed"] == 1
         assert config_digest(config_from_dict(doc)) == config_digest(cfg)
 
+    def test_config_from_dict_names_unknown_keys(self):
+        doc = canonical_config_dict(SimConfig())
+        doc.update(bogus=1, trace_capacity=5)
+        with pytest.raises(ValueError, match="bogus, trace_capacity"):
+            config_from_dict(doc)
+
 
 # -------------------------------------------------------------- registry
 
@@ -432,6 +438,22 @@ class TestFuzzCli:
                          "--scale", "test"]) == 0
         assert cli_main(["trace", "replay", path, "--verify"]) == 0
         assert "bit-identical" in capsys.readouterr().out
+
+    def test_replay_rejects_unknown_config_key(self, tmp_path, capsys):
+        """An op log whose header config names a knob SimConfig no longer
+        has (here the removed ``trace``) exits 2 with a named error."""
+        path = tmp_path / "t.jsonl"
+        assert cli_main(["trace", "record", str(path), "--app", "is",
+                         "--scale", "test"]) == 0
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["config"]["trace"] = False
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert cli_main(["trace", "replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "unknown config key(s): trace" in err
 
     def test_run_record_trace_flag(self, tmp_path, capsys):
         path = str(tmp_path / "t.jsonl")

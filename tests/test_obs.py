@@ -18,7 +18,6 @@ from repro.obs.metrics import (MetricsRegistry, NullMetricsRegistry,
                                P2Quantile, Snapshot)
 from repro.obs.profile import Profiler
 from repro.obs.spans import SPAN_KINDS, NullSpanRecorder, Span, SpanRecorder
-from repro.stats.trace import Trace
 
 
 # --------------------------------------------------------------- metrics
@@ -285,20 +284,6 @@ class TestProfiler:
             math.sqrt(2)
         assert p.as_dict()["work"]["calls"] == 1
         assert p.as_dict()["work"]["seconds"] >= 0.0
-
-
-# ------------------------------------------------- trace ring (satellite)
-
-class TestTraceRing:
-    def test_keeps_most_recent(self):
-        tr = Trace(capacity=3)
-        for i in range(8):
-            tr.record(float(i), 0, "msg.send" if i < 6 else "fault.read")
-        assert len(tr) == 3
-        assert [e.time for e in tr.events] == [5.0, 6.0, 7.0]
-        assert tr.dropped == 5
-        assert tr.dropped_by_kind == {"msg.send": 5}
-        assert "dropped" in tr.summary()
 
 
 # ------------------------------------------- end-to-end simulator runs

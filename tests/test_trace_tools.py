@@ -1,4 +1,4 @@
-"""Tests for the event-trace subsystem and the analysis tools."""
+"""Tests for the analysis tools over protocol spans."""
 import json
 
 import numpy as np
@@ -6,101 +6,64 @@ import pytest
 
 from repro import SimConfig, run_app
 from repro.apps.registry import make_app
-from repro.stats.trace import NullTrace, Trace
+from repro.obs import SpanRecorder
+from repro.obs.export import read_spans_jsonl
 from repro.tools import (lock_report, message_matrix, render_matrix,
                          render_timeline)
 
+#: the lock-taking protocols that emit lock.wait / lock.hold spans
+LOCK_PROTOCOLS = ("aec", "tmk", "munin")
 
-class TestTraceContainer:
-    def test_record_and_query(self):
-        tr = Trace()
-        tr.record(10.0, 1, "lock.grant", lock=3)
-        tr.record(20.0, 1, "lock.release", lock=3)
-        tr.record(15.0, 2, "fault.read", page=7)
-        assert len(tr) == 3
-        assert [e.kind for e in tr.of_kind("lock.grant")] == ["lock.grant"]
-        assert len(tr.by_node(1)) == 2
-        assert len(tr.between(12, 18)) == 1
-        assert tr.counts()["fault.read"] == 1
 
-    def test_capacity_drops(self):
-        tr = Trace(capacity=2)
-        for i in range(5):
-            tr.record(float(i), 0, "msg.send")
-        assert len(tr) == 2
-        assert tr.dropped == 3
-        assert "dropped" in tr.summary()
-
-    def test_lock_chain_and_cs_times(self):
-        tr = Trace()
-        tr.record(0.0, 1, "lock.grant", lock=0)
-        tr.record(100.0, 1, "lock.release", lock=0)
-        tr.record(150.0, 2, "lock.grant", lock=0)
-        tr.record(400.0, 2, "lock.release", lock=0)
-        tr.record(50.0, 3, "lock.grant", lock=9)  # other lock: ignored
-        assert tr.lock_transfer_chain(0) == [1, 2]
-        assert tr.critical_section_times(0) == [100.0, 250.0]
-
-    def test_jsonl_export(self):
-        tr = Trace()
-        tr.record(1.5, 4, "diff.create", page=2, bytes=64)
-        lines = tr.to_jsonl().splitlines()
-        rec = json.loads(lines[0])
-        assert rec == {"t": 1.5, "node": 4, "kind": "diff.create",
-                       "page": 2, "bytes": 64}
-
-    def test_null_trace_records_nothing(self):
-        tr = NullTrace()
-        tr.record(0.0, 0, "lock.grant")
-        assert len(tr) == 0
+@pytest.fixture(scope="module")
+def spanned():
+    """is/test under each lock protocol with spans on, keyed by protocol."""
+    return {p: run_app(make_app("is", "test"), p,
+                       config=SimConfig(obs_spans=True))
+            for p in LOCK_PROTOCOLS}
 
 
 class TestTracedRuns:
-    @pytest.fixture(scope="class")
-    def traced(self):
-        cfg = SimConfig(trace=True)
-        return run_app(make_app("is", "test"), "aec", config=cfg)
+    def test_run_produces_events(self, spanned):
+        r = spanned["aec"]
+        counts = r.extra["spans"].counts()
+        assert counts["lock.wait"] == r.total_lock_acquires
+        assert counts["lock.hold"] == r.total_lock_acquires
+        assert counts["barrier"] == 16 * r.barrier_events
+        assert counts["diff.create"] == r.diff_stats.diffs_created
+        for p in ("tmk", "munin"):
+            r = spanned[p]
+            counts = r.extra["spans"].counts()
+            assert counts["lock.wait"] == r.total_lock_acquires, p
+            assert counts["lock.hold"] == r.total_lock_acquires, p
 
-    def test_run_produces_events(self, traced):
-        tr = traced.extra["trace"]
-        counts = tr.counts()
-        assert counts["lock.grant"] == traced.total_lock_acquires
-        assert counts["lock.release"] == counts["lock.grant"]
-        assert counts["barrier.arrive"] == 16 * traced.barrier_events
-        assert counts["barrier.complete"] == counts["barrier.arrive"]
-        assert counts["diff.create"] == traced.diff_stats.diffs_created
-        assert (counts["fault.read"] + counts["fault.write"]
-                <= traced.fault_stats.total_faults)
-
-    def test_lock_chain_is_serialized(self, traced):
-        """A mutex's grant/release events must strictly alternate."""
-        tr = traced.extra["trace"]
-        holder = None
-        for e in tr.of_kind("lock.grant", "lock.release"):
-            if e.detail.get("lock") != 0:
-                continue
-            if e.kind == "lock.grant":
-                assert holder is None, "grant while held"
-                holder = e.node
-            else:
-                assert holder == e.node, "release by non-holder"
-                holder = None
-        assert holder is None
+    def test_lock_chain_is_serialized(self, spanned):
+        """A mutex's hold spans, sorted by start, never overlap."""
+        for p, r in spanned.items():
+            holds = {}
+            for s in r.extra["spans"].of_kind("lock.hold"):
+                holds.setdefault(s.args["lock"], []).append(s)
+            assert holds, p
+            for lock, hs in holds.items():
+                hs.sort(key=lambda s: s.start)
+                for a, b in zip(hs, hs[1:]):
+                    assert a.end <= b.start, (p, lock, a, b)
 
     def test_tracing_off_by_default(self):
         r = run_app(make_app("fft", "test"), "aec")
-        assert len(r.extra["trace"]) == 0
+        assert r.extra["spans"] is None
 
-    def test_tracing_does_not_change_timing(self, traced):
-        plain = run_app(make_app("is", "test"), "aec")
-        assert plain.execution_time == traced.execution_time
+    def test_tracing_does_not_change_timing(self, spanned):
+        for p, r in spanned.items():
+            plain = run_app(make_app("is", "test"), p)
+            assert plain.execution_time == r.execution_time, p
+            assert plain.messages_total == r.messages_total, p
 
 
 class TestTools:
     @pytest.fixture(scope="class")
-    def traced(self):
-        cfg = SimConfig(trace=True)
-        return run_app(make_app("is", "test"), "aec", config=cfg)
+    def traced(self, spanned):
+        return spanned["aec"]
 
     def test_message_matrix_consistent(self, traced):
         m = message_matrix(traced)
@@ -114,30 +77,68 @@ class TestTools:
         assert "top:" in text
 
     def test_render_timeline(self, traced):
-        tr = traced.extra["trace"]
-        text = render_timeline(tr, kinds=["fault.read", "fault.write"])
-        assert "timeline" in text and "fault.read" in text
-        assert render_timeline(tr, node=3)
-        assert render_timeline(Trace()) == "(no events)"
+        spans = traced.extra["spans"]
+        text = render_timeline(spans, kinds=["diff.create", "lock.hold"])
+        assert "timeline" in text
+        assert "diff.create" in text and "lock.hold" in text
+        assert "barrier" not in text
+        # node filter: only node 3's spans are counted
+        n3 = sum(1 for s in spans.spans if s.track == 3)
+        assert f"timeline: {n3} spans" in render_timeline(spans, node=3)
+        assert render_timeline(spans, node=99) == "(no events)"
+        assert render_timeline(SpanRecorder()) == "(no events)"
 
     def test_lock_report(self, traced):
-        text = lock_report(traced.extra["trace"])
+        text = lock_report(traced.extra["spans"])
         assert "acquires" in text
         # IS has one lock acquired 32 times at test scale (2 reps)
-        assert " 32 " in text or "32" in text
+        lock, acquires = text.splitlines()[1].split()[:2]
+        assert (lock, acquires) == ("0", "32")
 
     def test_lock_report_empty(self):
-        assert "(no lock activity" in lock_report(Trace())
+        assert "(no lock activity" in lock_report(SpanRecorder())
+        assert "(no lock activity" in lock_report([])
+
+    def test_lock_report_totals_match_acquires(self, spanned):
+        for p, r in spanned.items():
+            rows = lock_report(r.extra["spans"]).splitlines()[1:]
+            total = sum(int(row.split()[1]) for row in rows)
+            assert total == r.total_lock_acquires == 32, p
+
+    def test_tools_accept_span_iterables(self, traced):
+        spans = traced.extra["spans"]
+        assert lock_report(list(spans.spans)) == lock_report(spans)
+        assert (render_timeline(iter(spans.spans), node=2)
+                == render_timeline(spans, node=2))
 
 
 class TestAnalyzeCLI:
     def test_analyze_command(self, capsys, tmp_path):
         from repro.harness.cli import main
-        out_file = tmp_path / "trace.jsonl"
+        out_file = tmp_path / "spans.jsonl"
         assert main(["analyze", "--app", "fft", "--scale", "test",
                      "--trace-out", str(out_file)]) == 0
         out = capsys.readouterr().out
         assert "timeline" in out and "rows=sender" in out
-        assert out_file.exists()
         first = json.loads(out_file.read_text().splitlines()[0])
-        assert "kind" in first
+        assert {"track", "kind", "start", "end"} <= set(first)
+
+    def test_trace_out_is_span_jsonl(self, capsys, tmp_path, spanned):
+        from repro.harness.cli import main
+        out_file = tmp_path / "spans.jsonl"
+        assert main(["analyze", "--app", "is", "--scale", "test",
+                     "--trace-out", str(out_file)]) == 0
+        capsys.readouterr()
+        spans = read_spans_jsonl(str(out_file))
+        assert len(spans) == len(spanned["aec"].extra["spans"])
+        assert lock_report(spans) == lock_report(spanned["aec"].extra["spans"])
+
+    @pytest.mark.parametrize("protocol", LOCK_PROTOCOLS)
+    def test_analyze_lock_report(self, capsys, protocol):
+        from repro.harness.cli import main
+        assert main(["analyze", "--app", "is", "--scale", "test",
+                     "--protocol", protocol]) == 0
+        out = capsys.readouterr().out
+        assert "spans:" in out
+        rows = [line.split() for line in out.splitlines()]
+        assert ["0", "32"] in [row[:2] for row in rows if len(row) == 5]

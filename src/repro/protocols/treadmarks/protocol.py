@@ -22,6 +22,40 @@ from repro.protocols.treadmarks.interval import IntervalLog, IntervalRecord
 _COUNTER = attrgetter("acquire_counter")
 
 
+def _put_word(page: np.ndarray, stamps: np.ndarray,
+              twin: Optional[np.ndarray], guarded: bool, off: int,
+              value: float, stamp: int) -> bool:
+    """Max-stamp-wins merge of one word; True if written.  ``guarded`` (the
+    twin holds unfrozen local writes) keeps a word we modified: it was never
+    served to anyone, so no remote diff can legitimately supersede it."""
+    if stamps[off] >= stamp or (guarded and page[off] != twin[off]):
+        return False
+    page[off] = value
+    stamps[off] = stamp
+    if twin is not None:
+        twin[off] = value
+    return True
+
+
+def _put_words(page: np.ndarray, stamps: np.ndarray,
+               twin: Optional[np.ndarray], guarded: bool, offs: np.ndarray,
+               values: np.ndarray, stamp: int) -> bool:
+    """:func:`_put_word` over many words (take/put and count_nonzero cost
+    far less per call than fancy indexing on few-word diffs)."""
+    mask = stamps.take(offs) < stamp
+    if guarded:
+        mask &= page.take(offs) == twin.take(offs)
+    if np.count_nonzero(mask) < len(offs):
+        offs, values = offs[mask], values[mask]
+    if not len(offs):
+        return False
+    page.put(offs, values)
+    stamps.put(offs, stamp)
+    if twin is not None:
+        twin.put(offs, values)
+    return True
+
+
 @dataclass
 class TMPageMeta(PageMeta):
     """TreadMarks per-page state at one node."""
@@ -233,12 +267,7 @@ class TreadMarksNode(ProtocolNode):
             self.fault_stats.remote_resolutions += 1
         # apply in global stamp order (lazy-release-consistent merge)
         collected.sort(key=lambda d: (d.acquire_counter, d.origin))
-        for diff in collected:
-            if diff.acquire_counter <= meta.applied.get(diff.origin, -1):
-                continue
-            yield from self._apply_diff_stamped(pn, diff)
-            meta.applied[diff.origin] = diff.acquire_counter
-            self._bump_lamport(diff.acquire_counter)
+        yield from self._apply_diffs_stamped(pn, collected)
         meta.pending.clear()
         meta.valid = True
         meta.ever_valid = True
@@ -248,36 +277,42 @@ class TreadMarksNode(ProtocolNode):
             meta.word_stamps = np.full(self.page_words(), -1, dtype=np.int64)
         return meta.word_stamps
 
-    def _apply_diff_stamped(self, pn: int, diff: Diff) -> Generator:
-        """Apply a diff with per-word max-stamp-wins semantics."""
+    def _apply_diffs_stamped(self, pn: int, diffs: List[Diff]) -> Generator:
+        """Apply ``diffs`` in order, max-stamp-wins per word, skipping any a
+        writer's ``applied`` floor covers.  Each pays its own ``Delay``; the
+        page's cache lines are dropped once, after the last (DESIGN §11.7)."""
         meta: TMPageMeta = self.page(pn)
         page = self.store.page(pn)
-        cycles = self.machine.diff_apply_cycles(max(diff.nwords, 1))
-        yield Delay(cycles, "data")
-        stamps = self._word_stamps(meta)
-        twin = meta.twin
-        stamp = diff.acquire_counter
-        offs, values = diff.offsets, diff.values
-        # take/put and count_nonzero cost far less per call than fancy
-        # indexing and mask.all() on the few-word diffs that dominate here
-        mask = stamps.take(offs) < stamp
-        if twin is not None and meta.dirty:
-            # never clobber unfrozen local writes: they were never served to
-            # anyone, so no remote diff can legitimately supersede them
-            mask &= page.take(offs) == twin.take(offs)
-        if np.count_nonzero(mask) < len(offs):
-            offs, values = offs[mask], values[mask]
-        if len(offs):
-            page.put(offs, values)
-            stamps.put(offs, stamp)
-            if twin is not None:
-                twin.put(offs, values)
-            self.hw.page_updated(self.page_addr(pn), self.page_words())
+        applied = meta.applied
+        apply_cycles = self.machine.diff_apply_cycles
         checker = self.world.checker
-        if checker.enabled:
-            checker.note_transfer("diff", dst=self.node_id, page=pn,
-                                  origin=diff.origin, time=self.now())
-        self.world.diff_stats.record_apply(cycles, 0.0)
+        record_apply = self.world.diff_stats.record_apply
+        changed = False
+        for diff in diffs:
+            origin, stamp = diff.origin, diff.acquire_counter
+            if stamp <= applied.get(origin, -1):
+                continue
+            offs = diff.offsets
+            cycles = apply_cycles(len(offs) or 1)
+            yield Delay(cycles, "data")
+            stamps = self._word_stamps(meta)
+            # an ISR freezing this page during the Delay drops its twin
+            twin = meta.twin
+            guarded = twin is not None and meta.dirty
+            if len(offs) == 1:
+                changed |= _put_word(page, stamps, twin, guarded, offs[0],
+                                     diff.values[0], stamp)
+            else:
+                changed |= _put_words(page, stamps, twin, guarded, offs,
+                                      diff.values, stamp)
+            if checker.enabled:
+                checker.note_transfer("diff", dst=self.node_id, page=pn,
+                                      origin=origin, time=self.now())
+            record_apply(cycles, 0.0)
+            applied[origin] = stamp
+            self._bump_lamport(stamp)
+        if changed:
+            self.hw.page_updated(self.page_addr(pn), self.page_words())
 
     # ------------------------------------------------------- diff servicing
 
@@ -383,11 +418,8 @@ class TreadMarksNode(ProtocolNode):
             meta: TMPageMeta = self.page(pn)
             if meta.valid or not self.store.has(pn):
                 continue
-            if diff.acquire_counter <= meta.applied.get(diff.origin, -1):
-                continue
-            yield from self._apply_diff_stamped(pn, diff)
-            meta.applied[diff.origin] = diff.acquire_counter
-            self._bump_lamport(diff.acquire_counter)
+            # one diff per call: the global order spans pages
+            yield from self._apply_diffs_stamped(pn, [diff])
         if grant.get("diffs"):
             for diff in grant["diffs"]:
                 meta = self.page(diff.page_number)

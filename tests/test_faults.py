@@ -281,6 +281,18 @@ FAULT_FREE_GOLDEN = {
     ("water-sp", "sc"): (38802.0, 0, 0),
 }
 
+#: app -> (execution_time, messages_total, network_bytes, events_processed)
+#: of TreadMarks with the Lazy-Hybrid grant piggyback (``tmk-lh``), seed 42 /
+#: test scale; pins the per-diff apply order of the piggyback path
+TMK_LH_GOLDEN = {
+    "is": (5800630.0, 2370, 671632, 7111),
+    "raytrace": (43769978.5, 13817, 2476904, 40142),
+    "water-ns": (9168162.75, 12009, 2026936, 48196),
+    "fft": (5346967.5, 3958, 610776, 13397),
+    "ocean": (16853596.75, 6769, 1122176, 20536),
+    "water-sp": (16986506.25, 5010, 605424, 16511),
+}
+
 
 class TestFaultFreeBitIdentical:
     @pytest.mark.parametrize("app_name", APP_NAMES)
@@ -295,6 +307,14 @@ class TestFaultFreeBitIdentical:
                 f"pre-fault-subsystem baseline {got} != "
                 f"{FAULT_FREE_GOLDEN[(app_name, protocol)]}")
             assert result.net_faults is None
+
+    @pytest.mark.parametrize("app_name", APP_NAMES)
+    def test_lazy_hybrid_matches_golden(self, app_name):
+        result = run_app(make_app(app_name, "test"), "tmk-lh",
+                         SimConfig(seed=42))
+        got = (result.execution_time, result.messages_total,
+               result.network_bytes, result.events_processed)
+        assert got == TMK_LH_GOLDEN[app_name]
 
     def test_no_fault_machinery_without_plan(self):
         sim = Simulator(SimConfig())

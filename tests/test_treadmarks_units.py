@@ -1,4 +1,6 @@
-"""Unit tests for TreadMarks bookkeeping: intervals, logs, vector clocks."""
+"""Unit tests for TreadMarks bookkeeping: intervals, logs, vector clocks,
+and the receiver-side diff apply path."""
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 from repro.apps.registry import make_app
 from repro.config import SimConfig
 from repro.harness.runner import run_app
+from repro.machine.node import NodeHardware
 from repro.protocols.treadmarks.interval import IntervalLog, IntervalRecord
-from repro.protocols.treadmarks.protocol import TreadMarksNode
+from repro.protocols.treadmarks.protocol import (TreadMarksNode, _put_word,
+                                                 _put_words)
 
 
 class TestIntervalRecord:
@@ -126,13 +130,13 @@ class TestFrozenDiffInvariants:
     def test_served_diffs_are_read_only(self, tmk_nodes, monkeypatch, app,
                                         protocol):
         received = []
-        apply = TreadMarksNode._apply_diff_stamped
+        apply = TreadMarksNode._apply_diffs_stamped
 
-        def recording_apply(self, pn, diff):
-            received.append(diff)
-            return apply(self, pn, diff)
+        def recording_apply(self, pn, diffs):
+            received.extend(diffs)
+            return apply(self, pn, diffs)
 
-        monkeypatch.setattr(TreadMarksNode, "_apply_diff_stamped",
+        monkeypatch.setattr(TreadMarksNode, "_apply_diffs_stamped",
                             recording_apply)
         run_app(make_app(app, "test"), protocol, SimConfig())
         assert received
@@ -145,3 +149,104 @@ class TestFrozenDiffInvariants:
         held = {id(d) for node in tmk_nodes
                 for meta in node.pages.values() for d in meta.frozen}
         assert all(id(d) in held for d in received)
+
+
+W = 12
+
+
+@st.composite
+def _merge_case(draw, max_words=W):
+    """A page, its word stamps and twin (None, clean or dirty) and one diff."""
+    page = np.array(draw(st.lists(st.integers(0, 3), min_size=W,
+                                  max_size=W)), dtype=np.float64)
+    stamps = np.array(draw(st.lists(st.integers(-1, 6), min_size=W,
+                                    max_size=W)), dtype=np.int64)
+    twin_kind = draw(st.sampled_from(["none", "clean", "dirty"]))
+    twin = None if twin_kind == "none" else page.copy()
+    if twin_kind == "dirty":
+        for off in draw(st.lists(st.integers(0, W - 1), max_size=W)):
+            twin[off] += 1.0  # words written locally since the twin
+    offs = np.array(draw(st.lists(st.integers(0, W - 1), min_size=1,
+                                  max_size=max_words, unique=True)),
+                    dtype=np.int32)
+    values = np.array(draw(st.lists(st.integers(0, 9), min_size=len(offs),
+                                    max_size=len(offs))), dtype=np.float64)
+    stamp = draw(st.integers(0, 7))
+    return page, stamps, twin, twin_kind == "dirty", offs, values, stamp
+
+
+def _merge_reference(page, stamps, twin, guarded, offs, values, stamp):
+    """Brute-force per-word max-stamp-wins merge."""
+    changed = False
+    for off, value in zip(offs.tolist(), values.tolist()):
+        if stamps[off] < stamp and (not guarded or page[off] == twin[off]):
+            page[off] = value
+            stamps[off] = stamp
+            if twin is not None:
+                twin[off] = value
+            changed = True
+    return changed
+
+
+def _merged(merge, case, scalar=False):
+    page, stamps, twin, guarded, offs, values, stamp = case
+    page, stamps = page.copy(), stamps.copy()
+    twin = None if twin is None else twin.copy()
+    if scalar:
+        changed = merge(page, stamps, twin, guarded, offs[0], values[0],
+                        stamp)
+    else:
+        changed = merge(page, stamps, twin, guarded, offs, values, stamp)
+    return changed, page.tolist(), stamps.tolist(), (
+        None if twin is None else twin.tolist())
+
+
+class TestWordMerge:
+    """The single-word and mask paths of the TreadMarks diff apply."""
+
+    @given(_merge_case(max_words=1))
+    @settings(max_examples=300)
+    def test_single_word_paths_match_reference(self, case):
+        want = _merged(_merge_reference, case)
+        assert _merged(_put_word, case, scalar=True) == want
+        assert _merged(_put_words, case) == want
+
+    @given(_merge_case())
+    @settings(max_examples=300)
+    def test_mask_path_matches_reference(self, case):
+        assert _merged(_put_words, case) == _merged(_merge_reference, case)
+
+
+@pytest.mark.parametrize("protocol", ["tmk", "tmk-lh"])
+@pytest.mark.parametrize("app", ["water-ns", "raytrace"])
+def test_one_invalidation_per_batch_leaves_caches_identical(
+        tmk_nodes, monkeypatch, app, protocol):
+    """Dropping a faulted page's cache lines once per apply batch leaves
+    every cache exactly as dropping them after every applied diff does."""
+    calls = []
+    page_updated = NodeHardware.page_updated
+
+    def counting(self, page_addr, nwords):
+        calls.append(page_addr)
+        page_updated(self, page_addr, nwords)
+
+    monkeypatch.setattr(NodeHardware, "page_updated", counting)
+
+    def run():
+        del tmk_nodes[:], calls[:]
+        result = run_app(make_app(app, "test"), protocol, SimConfig())
+        caches = [(n.hw.cache._tags.tolist(), n.hw.cache.hits,
+                   n.hw.cache.misses) for n in tmk_nodes]
+        return result.execution_time, caches, len(calls)
+
+    built = run()
+    apply = TreadMarksNode._apply_diffs_stamped
+
+    def per_diff(self, pn, diffs):
+        for diff in diffs:
+            yield from apply(self, pn, [diff])
+
+    monkeypatch.setattr(TreadMarksNode, "_apply_diffs_stamped", per_diff)
+    reference = run()
+    assert built[:2] == reference[:2]
+    assert built[2] < reference[2]
